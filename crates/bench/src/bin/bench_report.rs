@@ -46,21 +46,14 @@
 //! untraced one (tracing observes the serial accounting phases only), so
 //! arming the recorder never changes the gate verdict.
 
-use ecofusion_detect::stem::STEM_CHANNELS;
-use ecofusion_detect::{BranchConfig, BranchDetector, Stem};
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_harness::{
-    compare, run_report_traced, BenchReport, CompiledSpeedup, Tolerances, DEFAULT_BASELINE_PATH,
+    compare, run_report_traced, BenchReport, Tolerances, DEFAULT_BASELINE_PATH,
     FLIGHT_RECORDER_EVENTS,
 };
-use ecofusion_tensor::graph::compile_quant_pipe;
-use ecofusion_tensor::layer::Layer;
-use ecofusion_tensor::rng::Rng;
-use ecofusion_tensor::tensor::Tensor;
 use ecofusion_trace::{chrome_trace_json, prometheus_snapshot, TraceSink};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Flags that consume the following argument as their value.
 const VALUE_FLAGS: &[&str] = &[
@@ -192,108 +185,6 @@ fn fresh_report(scale: Scale, args: &[String]) -> BenchReport {
     fresh_report_traced(scale, args, None).0
 }
 
-/// Ratio of two alternating timed closures (a-time / b-time), as the
-/// median of per-pair ratios. Interleaving the two sides within each
-/// sample cancels the slow frequency / load drift of shared runners that
-/// sequential medians cannot — only the ratio is reported, so a globally
-/// slow window biases both sides equally.
-fn ratio_median(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> f64 {
-    a();
-    b(); // warmup both sides
-    let mut ratios: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            a();
-            let ta = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            b();
-            let tb = t.elapsed().as_secs_f64();
-            ta / tb
-        })
-        .collect();
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    ratios[ratios.len() / 2]
-}
-
-/// Times the eager stem/branch forwards against their fused compiled
-/// plans on batch-8 suite shapes (f32 and int8) and returns the speedup
-/// ratios. Informational provenance for the fused-compiler acceptance
-/// criterion — never gated, because wall clock on a shared runner is not
-/// a stable measurement device.
-fn measure_compiled_speedup() -> CompiledSpeedup {
-    const ITERS: usize = 21;
-    const BATCH: usize = 8;
-    let mut rng = Rng::new(0xC0DE);
-    let grid = ecofusion_harness::SUITE_GRID;
-
-    // Stem: one 1-channel sensor at the suite grid, batch of 8 (the
-    // scheduler's micro-batch cap).
-    let mut stem = Stem::new(1, &mut rng);
-    let warm = Tensor::randn(&[4, 1, grid, grid], 1.0, &mut rng);
-    for _ in 0..5 {
-        let _ = stem.forward(&warm, true); // settle batch-norm stats
-    }
-    let calib: Vec<Tensor> =
-        (0..4).map(|_| Tensor::randn(&[1, 1, grid, grid], 1.0, &mut rng)).collect();
-    let (pipe, _) = stem.quantize(&calib).expect("stem quantizes");
-    let x = Tensor::randn(&[BATCH, 1, grid, grid], 1.0, &mut rng);
-    let mut plan = stem.compile(x.shape()).expect("stem compiles");
-    let mut out = Tensor::zeros(plan.out_shape());
-    let stem_f32 = ratio_median(
-        ITERS,
-        || {
-            let _ = stem.forward(&x, false);
-        },
-        || plan.execute_into(&x, &mut out),
-    );
-    let mut qplan = compile_quant_pipe(&pipe, x.shape()).expect("stem pipe compiles");
-    let stem_int8 = ratio_median(
-        ITERS,
-        || {
-            let _ = pipe.forward(&x);
-        },
-        || qplan.execute_into(&x, &mut out),
-    );
-
-    // Branch: the 4-sensor early-fusion backbone + head on batch-8 stem
-    // features at the suite raster.
-    let cfg = BranchConfig {
-        num_sensors: 4,
-        num_classes: ecofusion_harness::SUITE_CLASSES,
-        raster: grid,
-    };
-    let mut branch = BranchDetector::new(cfg, &mut rng);
-    let side = Stem::out_size(grid);
-    let c_in = STEM_CHANNELS * cfg.num_sensors;
-    let warm = Tensor::randn(&[4, c_in, side, side], 1.0, &mut rng);
-    for _ in 0..5 {
-        let _ = branch.forward(&warm, true);
-    }
-    let calib: Vec<Tensor> =
-        (0..4).map(|_| Tensor::randn(&[1, c_in, side, side], 1.0, &mut rng)).collect();
-    let qbranch = branch.quantize(&calib).expect("branch quantizes");
-    let feats = Tensor::randn(&[BATCH, c_in, side, side], 1.0, &mut rng);
-    let mut bplan = branch.compile(feats.shape()).expect("branch compiles");
-    let mut bout = Tensor::zeros(bplan.out_shape());
-    let branch_f32 = ratio_median(
-        ITERS,
-        || {
-            let _ = branch.forward(&feats, false);
-        },
-        || bplan.execute_into(&feats, &mut bout),
-    );
-    let mut qbplan = qbranch.compile(feats.shape()).expect("quant branch compiles");
-    let branch_int8 = ratio_median(
-        ITERS,
-        || {
-            let _ = qbranch.forward(&feats);
-        },
-        || qbplan.execute_into(&feats, &mut bout),
-    );
-
-    CompiledSpeedup { stem_f32, branch_f32, stem_int8, branch_int8 }
-}
-
 /// Runs the suites, optionally with the flight recorder armed
 /// (`trace_capacity = Some(..)` attaches a bounded `TraceSink` per suite).
 fn fresh_report_traced(
@@ -380,15 +271,7 @@ fn main() -> ExitCode {
             let out = PathBuf::from(
                 flag_value(&args, "--out").unwrap_or_else(|| "results/bench_report.json".into()),
             );
-            let mut report = fresh_report(scale, &args);
-            eprintln!("timing compiled plans vs eager stages...");
-            let speedup = measure_compiled_speedup();
-            println!(
-                "compiled speedup (eager time / compiled time, batch 8): \
-                 stem {:.2}x / {:.2}x int8, branch {:.2}x / {:.2}x int8 (informational)",
-                speedup.stem_f32, speedup.stem_int8, speedup.branch_f32, speedup.branch_int8
-            );
-            report.compiled_speedup = Some(speedup);
+            let report = fresh_report(scale, &args);
             print_table(&report);
             print_fleet_speedup(&report);
             if let Err(e) = report.write_json(&out) {

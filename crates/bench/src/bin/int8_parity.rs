@@ -16,27 +16,16 @@
 //! [`ecofusion_eval::DEFAULT_MAX_DRIFT_PP`]). NaN mAP on either side is a
 //! violation, never a vacuous pass.
 //!
-//! It also times the int8 stem and branch kernels against their f32
-//! counterparts on the build host and records the ratios in the written
-//! report's `int8_speedup` field — informational provenance for the
-//! acceptance criterion ("int8 stems/branches measurably cheaper"), never
-//! gated, because wall clock on a shared runner is not a stable
-//! measurement device.
-//!
 //! `--out <path>` (default `results/int8_parity.json`) receives the int8
-//! run's `BenchReport` with the measured speedups attached.
+//! run's `BenchReport`. Kernel timings are not measured here: perfbench's
+//! traced run records the serving int8-vs-f32 ratios as
+//! `tensor.int8_vs_f32_stem` / `tensor.int8_vs_f32_branch`.
 
-use ecofusion_detect::stem::STEM_CHANNELS;
-use ecofusion_detect::{BranchConfig, BranchDetector, Stem};
 use ecofusion_eval::experiments::common::Scale;
 use ecofusion_eval::{ParityReport, ParityRow, DEFAULT_MAX_DRIFT_PP};
-use ecofusion_harness::{run_report, BenchReport, Int8Speedup};
-use ecofusion_tensor::layer::Layer;
-use ecofusion_tensor::rng::Rng;
-use ecofusion_tensor::tensor::Tensor;
+use ecofusion_harness::{run_report, BenchReport};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Flags that consume the following argument as their value.
 const VALUE_FLAGS: &[&str] = &["--out", "--bound"];
@@ -76,73 +65,6 @@ fn run_at(scale: Scale, precision: Option<&str>) -> BenchReport {
     report
 }
 
-/// Median wall-clock seconds of `f` over `iters` runs (after one warmup).
-fn time_median(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup: page in weights, settle allocator
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Times the f32 stem/branch forwards against their quantized
-/// counterparts on suite-shaped inputs and returns the speedup ratios.
-fn measure_speedups() -> Int8Speedup {
-    const ITERS: usize = 9;
-    let mut rng = Rng::new(0xBE9C);
-    let grid = ecofusion_harness::SUITE_GRID;
-
-    // Stem: one 1-channel sensor at the suite grid, batch of 4 (the
-    // scheduler's typical micro-batch shape).
-    let mut stem = Stem::new(1, &mut rng);
-    let warm = Tensor::randn(&[4, 1, grid, grid], 1.0, &mut rng);
-    for _ in 0..5 {
-        let _ = stem.forward(&warm, true); // settle batch-norm stats
-    }
-    let calib: Vec<Tensor> =
-        (0..4).map(|_| Tensor::randn(&[1, 1, grid, grid], 1.0, &mut rng)).collect();
-    let (pipe, _) = stem.quantize(&calib).expect("stem quantizes");
-    let x = Tensor::randn(&[4, 1, grid, grid], 1.0, &mut rng);
-    let stem_f32 = time_median(ITERS, || {
-        let _ = stem.forward(&x, false);
-    });
-    let stem_int8 = time_median(ITERS, || {
-        let _ = pipe.forward(&x);
-    });
-
-    // Branch: the 4-sensor early-fusion head (the widest branch the
-    // gate can select), fed stem features at the suite raster.
-    let cfg = BranchConfig {
-        num_sensors: 4,
-        num_classes: ecofusion_harness::SUITE_CLASSES,
-        raster: grid,
-    };
-    let mut branch = BranchDetector::new(cfg, &mut rng);
-    let side = Stem::out_size(grid);
-    let c_in = STEM_CHANNELS * cfg.num_sensors;
-    let warm = Tensor::randn(&[4, c_in, side, side], 1.0, &mut rng);
-    for _ in 0..5 {
-        let _ = branch.forward(&warm, true);
-    }
-    let calib: Vec<Tensor> =
-        (0..4).map(|_| Tensor::randn(&[1, c_in, side, side], 1.0, &mut rng)).collect();
-    let qbranch = branch.quantize(&calib).expect("branch quantizes");
-    let feats = Tensor::randn(&[4, c_in, side, side], 1.0, &mut rng);
-    let branch_f32 = time_median(ITERS, || {
-        let _ = branch.forward(&feats, false);
-    });
-    let branch_int8 = time_median(ITERS, || {
-        let _ = qbranch.forward(&feats);
-    });
-
-    Int8Speedup { stem: stem_f32 / stem_int8, branch: branch_f32 / branch_int8 }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     for (i, a) in args.iter().enumerate() {
@@ -159,7 +81,7 @@ fn main() -> ExitCode {
     );
 
     let f32_report = run_at(scale, None);
-    let mut int8_report = run_at(scale, Some("int8"));
+    let int8_report = run_at(scale, Some("int8"));
 
     // Pair suites by name; a suite present in one run but not the other
     // would mean the env hook changed the registry, which must never
@@ -181,14 +103,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let parity = ParityReport::new(rows).with_bound(bound);
-
-    eprintln!("timing int8 kernels vs f32...");
-    let speedup = measure_speedups();
-    println!(
-        "kernel speedup (f32 time / int8 time): stem {:.2}x, branch {:.2}x (informational)",
-        speedup.stem, speedup.branch
-    );
-    int8_report.int8_speedup = Some(speedup);
 
     print!("{}", parity.render());
     if let Err(e) = int8_report.write_json(&out) {

@@ -35,8 +35,8 @@
 //!   code is 1 — the artifact the CI job uploads on failure.
 //!
 //! Replay is hermetic (fixed model seed, paper-default options, no env
-//! precision override) and shard/compile-invariant, so the CI job runs
-//! it under `ECOFUSION_COMPILED={0,1}` expecting bit-identical results.
+//! precision override) and shard-invariant, so one CI replay pins every
+//! committed suite bit for bit.
 
 use ecofusion_harness::{load_distilled_dir, replay_distilled, ReplayDrift, DEFAULT_DISTILLED_DIR};
 use ecofusion_search::distill;

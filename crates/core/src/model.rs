@@ -341,6 +341,12 @@ impl EcoFusionModel {
         &mut self.stems
     }
 
+    /// The detection branches, read-only (leaves the int8 image and the
+    /// compiled plans in place).
+    pub fn branches(&self) -> &[BranchDetector] {
+        &self.branches
+    }
+
     /// Mutable access to the branches (training). Drops any cached int8
     /// image: the quantized weights must track the f32 ones.
     pub fn branches_mut(&mut self) -> &mut [BranchDetector] {
@@ -915,9 +921,6 @@ mod tests {
     /// weights (a stale plan must never serve).
     #[test]
     fn plan_cache_invalidated_by_weight_access() {
-        if !ecofusion_tensor::graph::compiled_enabled() {
-            return; // ECOFUSION_COMPILED=0 CI leg: nothing to invalidate.
-        }
         let mut m = tiny_model();
         let data = Dataset::generate(&DatasetSpec::small(9));
         let opts = InferenceOptions::new(0.01, 0.5);

@@ -51,6 +51,15 @@
 //! compute saved on this host — without re-calibrating the published
 //! numbers.
 //!
+//! # Execution
+//!
+//! The `Stems` and `Branch` stages have one executor: the fused
+//! [`CompiledPlan`](ecofusion_tensor::graph::CompiledPlan) of each unit,
+//! memoized per input shape and precision in the model's [`PlanCache`].
+//! The eager `forward`s of the same units are training code and the
+//! reference that `crates/core/tests/prop_compiled.rs` checks the plans
+//! against, bit for bit; serving never calls them.
+//!
 //! # Precision axis
 //!
 //! [`InferenceOptions::precision`] selects the kernels of the
@@ -89,7 +98,6 @@ use ecofusion_energy::{
 use ecofusion_gating::{Gate, GateInput, GateKind};
 use ecofusion_sensors::{Observation, SensorKind};
 use ecofusion_tensor::graph::{self, PlanCache, PlanKey, PlanPrecision};
-use ecofusion_tensor::layer::Layer;
 use ecofusion_tensor::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -103,47 +111,46 @@ pub const ALL_SENSOR_BITS: u8 = (1 << SensorKind::COUNT) - 1;
 const STEM_SALT_BASE: u64 = 0;
 const BRANCH_SALT_BASE: u64 = 0x100;
 
-/// Runs stem `s` over a stacked input through the fused-execution layer
-/// when the `ECOFUSION_COMPILED` gate allows: the matching compiled plan
-/// is fetched from (or built into) `plans`, keyed by structural
-/// fingerprint + shape + precision. Falls back to the eager forward when
-/// compiled execution is disabled or lowering fails — both paths are
-/// bit-identical by the graph compiler's contract.
+/// Why fetching a plan cannot fail: the model's stems and branches are
+/// fixed Conv/BN/ReLU/MaxPool stacks (or their int8 images), and `sense()`
+/// has already checked every frame's grid, so the stacked input always
+/// feeds the unit it is lowered for (pinned for the serving model at
+/// every batch size by `ecofusion-harness`'s
+/// `serving_model_lowers_at_every_batch_size`).
+const LOWERS: &str = "serving-model units lower for every grid-checked input shape";
+
+/// Runs stem `s` over a stacked input through its compiled plan, fetched
+/// from (or built into) `plans` and keyed by structural fingerprint +
+/// shape + precision. The int8 image runs when `quant` is given.
 fn stem_forward(
     plans: &mut PlanCache,
-    stems: &mut [Stem],
+    stems: &[Stem],
     quant: Option<&QuantSnapshot>,
     s: usize,
     x: &Tensor,
 ) -> Tensor {
-    if graph::compiled_enabled() {
-        let salt = STEM_SALT_BASE + s as u64;
-        let attempt = match quant {
-            Some(q) => {
-                let key = PlanKey {
-                    fingerprint: graph::fingerprint_quant_pipe(&q.stems[s], salt),
-                    shape: x.shape().to_vec(),
-                    precision: PlanPrecision::Int8,
-                };
-                plans.try_get_or_compile(key, || graph::compile_quant_pipe(&q.stems[s], x.shape()))
-            }
-            None => {
-                let key = PlanKey {
-                    fingerprint: stems[s].plan_fingerprint(salt),
-                    shape: x.shape().to_vec(),
-                    precision: PlanPrecision::F32,
-                };
-                plans.try_get_or_compile(key, || stems[s].compile(x.shape()))
-            }
-        };
-        if let Ok(plan) = attempt {
-            return plan.execute(x);
+    let salt = STEM_SALT_BASE + s as u64;
+    let plan = match quant {
+        Some(q) => {
+            let key = PlanKey {
+                fingerprint: graph::fingerprint_quant_pipe(&q.stems[s], salt),
+                shape: x.shape().to_vec(),
+                precision: PlanPrecision::Int8,
+            };
+            plans.get_or_compile(key, || {
+                graph::compile_quant_pipe(&q.stems[s], x.shape()).expect(LOWERS)
+            })
         }
-    }
-    match quant {
-        Some(q) => q.stems[s].forward(x),
-        None => stems[s].forward(x, false),
-    }
+        None => {
+            let key = PlanKey {
+                fingerprint: stems[s].plan_fingerprint(salt),
+                shape: x.shape().to_vec(),
+                precision: PlanPrecision::F32,
+            };
+            plans.get_or_compile(key, || stems[s].compile(x.shape()).expect(LOWERS))
+        }
+    };
+    plan.execute(x)
 }
 
 /// What the stage graph will execute for one set of inference options,
@@ -318,11 +325,11 @@ impl BatchStemBank {
     /// stems are batch-invariant, so subsets are bit-identical). With
     /// `quant` set, the int8 stem pipes execute instead of the f32 stems
     /// (the caller guarantees the router is disabled then — caches hold
-    /// f32 features). Stem compute routes through `plans` (the model's
-    /// fused-plan cache) unless compiled execution is gated off.
+    /// f32 features). Stem compute runs the compiled plans of `plans`
+    /// (the model's fused-plan cache).
     fn ensure(
         &mut self,
-        stems: &mut [Stem],
+        stems: &[Stem],
         observations: &[&Observation],
         need_bits: &[u8],
         mut router: Option<&mut StemCacheRouter<'_>>,
@@ -536,14 +543,7 @@ impl EcoFusionModel {
         // Stems demanded before gating, across the whole batch.
         let pre_gate = vec![plan.pre_gate_bits(); n];
         let quant = if quant_active { self.quant.as_ref() } else { None };
-        bank.ensure(
-            &mut self.stems,
-            &observations,
-            &pre_gate,
-            router.as_mut(),
-            quant,
-            &mut self.plans,
-        );
+        bank.ensure(&self.stems, &observations, &pre_gate, router.as_mut(), quant, &mut self.plans);
         // Oracle detections + losses if the loss-based gate is active
         // (kept: Branch reuses them instead of re-running branches).
         let oracle_dets: Option<Vec<Vec<Vec<Detection>>>> = if plan.needs_oracle {
@@ -599,7 +599,7 @@ impl EcoFusionModel {
         let need_bits: Vec<u8> = selected.iter().map(|s| self.config_sensors[s.0]).collect();
         let quant = if quant_active { self.quant.as_ref() } else { None };
         bank.ensure(
-            &mut self.stems,
+            &self.stems,
             &observations,
             &need_bits,
             router.as_mut(),
@@ -713,56 +713,33 @@ impl EcoFusionModel {
         };
         let n = input.shape()[0];
         let salt = BRANCH_SALT_BASE + branch as u64;
-        if opts.precision == Precision::Int8 {
-            // Int8 backbone + head produce the same raw map layout; the
-            // f32 head decodes it (sigmoid/softmax/NMS stay full
-            // precision). The fused plan applies dequant + folded-BN +
-            // ReLU straight to the i32 accumulators — bit-identical to
-            // the eager pipe.
+        let shape = input.shape().to_vec();
+        // Int8 backbone + head produce the same raw map layout as f32, so
+        // the f32 head decodes either (sigmoid/softmax/NMS stay full
+        // precision). The int8 plan applies dequant + folded-BN + ReLU
+        // straight to the i32 accumulators.
+        let plan = if opts.precision == Precision::Int8 {
             let q = self.quant.as_ref().expect("int8 image built before the Branch stage");
             let qb = &q.branches[branch];
-            let map = if graph::compiled_enabled() {
-                let key = PlanKey {
-                    fingerprint: qb.plan_fingerprint(salt),
-                    shape: input.shape().to_vec(),
-                    precision: PlanPrecision::Int8,
-                };
-                match self.plans.try_get_or_compile(key, || qb.compile(input.shape())) {
-                    Ok(plan) => plan.execute(&input),
-                    Err(_) => qb.forward(&input).map,
-                }
-            } else {
-                qb.forward(&input).map
+            let key = PlanKey {
+                fingerprint: qb.plan_fingerprint(salt),
+                shape,
+                precision: PlanPrecision::Int8,
             };
-            let out = HeadOutput { map };
-            return (0..n)
-                .map(|i| {
-                    self.branches[branch].decode_sample(&out, i, opts.score_thresh, opts.nms_iou)
-                })
-                .collect();
-        }
-        if graph::compiled_enabled() {
+            self.plans.get_or_compile(key, || qb.compile(input.shape()).expect(LOWERS))
+        } else {
             let det = &self.branches[branch];
             let key = PlanKey {
                 fingerprint: det.plan_fingerprint(salt),
-                shape: input.shape().to_vec(),
+                shape,
                 precision: PlanPrecision::F32,
             };
-            if let Ok(plan) = self.plans.try_get_or_compile(key, || det.compile(input.shape())) {
-                let out = HeadOutput { map: plan.execute(&input) };
-                return (0..n)
-                    .map(|i| {
-                        self.branches[branch].decode_sample(
-                            &out,
-                            i,
-                            opts.score_thresh,
-                            opts.nms_iou,
-                        )
-                    })
-                    .collect();
-            }
-        }
-        self.branches[branch].detect_batch(&input, opts.score_thresh, opts.nms_iou)
+            self.plans.get_or_compile(key, || det.compile(input.shape()).expect(LOWERS))
+        };
+        let out = HeadOutput { map: plan.execute(&input) };
+        (0..n)
+            .map(|i| self.branches[branch].decode_sample(&out, i, opts.score_thresh, opts.nms_iou))
+            .collect()
     }
 
     /// [`EcoFusionModel::infer_batch`] with per-stream stem-feature

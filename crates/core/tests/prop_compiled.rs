@@ -3,12 +3,11 @@
 //!
 //! Two contracts:
 //!
-//! 1. **Bit-identity** — with compiled execution forced on, `infer_batch`
-//!    produces byte-for-byte the same detections, selected
-//!    configurations, and gate losses as the eager path, across seeds ×
-//!    contexts × health masks × batch sizes × `Precision::{F32, Int8}`.
-//!    The compiled gate is process-global, so every case runs under one
-//!    mutex and restores the environment default afterwards.
+//! 1. **Bit-identity** — `infer_batch`, which serves every stem and
+//!    branch through compiled plans, produces byte-for-byte the same
+//!    detections, selected configurations, gate losses and energy as the
+//!    test-side eager oracle (`common/mod.rs`), across seeds × contexts ×
+//!    health masks × batch sizes × `Precision::{F32, Int8}`.
 //! 2. **Zero steady-state allocations** — once a plan is warm,
 //!    `CompiledPlan::execute_into` performs no heap allocation at all
 //!    (f32 and int8), measured with a counting global allocator. Shapes
@@ -17,22 +16,22 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
+mod common;
+
+use common::monolithic_infer;
+use ecofusion_core::pipeline::account_prec;
 use ecofusion_core::{EcoFusionModel, Frame, InferenceOptions};
 use ecofusion_detect::stem::{Stem, STEM_CHANNELS};
-use ecofusion_energy::Precision;
+use ecofusion_energy::{Precision, StemPolicy};
 use ecofusion_scene::{Context, ScenarioGenerator};
 use ecofusion_sensors::{SensorMask, SensorSuite};
-use ecofusion_tensor::graph::{compile_quant_pipe, set_compiled};
+use ecofusion_tensor::graph::compile_quant_pipe;
 use ecofusion_tensor::rng::Rng;
 use ecofusion_tensor::Tensor;
 use proptest::prelude::*;
 
 const GRID: usize = 32;
-
-/// Serializes tests that flip the process-global compiled gate.
-static GATE: Mutex<()> = Mutex::new(());
 
 // ---------------------------------------------------------------------------
 // Counting allocator (per-thread, so concurrent tests don't bleed in)
@@ -91,9 +90,9 @@ fn arb_context() -> impl Strategy<Value = Context> {
 }
 
 proptest! {
-    // Each case builds one model and runs the batch twice (eager +
-    // compiled); twelve cases sweep both precisions, a spread of health
-    // masks, and batch sizes 1..4.
+    // Each case builds one model and runs the batch twice (eager oracle
+    // + compiled pipeline); twelve cases sweep both precisions, a spread
+    // of health masks, and batch sizes 1..4.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
@@ -112,27 +111,30 @@ proptest! {
         }
         let mut model = EcoFusionModel::new(GRID, 8, &mut Rng::new(seed ^ 0x7ACE));
 
-        let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        set_compiled(Some(false));
-        let eager = model.infer_batch(&frames, &opts).expect("eager batch");
-        prop_assert_eq!(model.plan_cache_len(), 0, "eager run must not compile plans");
-        set_compiled(Some(true));
+        let eager = monolithic_infer(&mut model, &frames, &opts);
+        prop_assert_eq!(model.plan_cache_len(), 0, "the eager oracle must not compile plans");
         let compiled = model.infer_batch(&frames, &opts).expect("compiled batch");
-        set_compiled(None);
-        prop_assert!(model.plan_cache_len() > 0, "compiled run must populate the cache");
+        prop_assert!(model.plan_cache_len() > 0, "serving must populate the plan cache");
 
         prop_assert_eq!(eager.len(), compiled.len());
         for (e, c) in eager.iter().zip(&compiled) {
             prop_assert_eq!(&e.detections, &c.detections, "detections differ");
-            prop_assert_eq!(e.selected_config, c.selected_config);
-            prop_assert_eq!(&e.selected_label, &c.selected_label);
-            prop_assert_eq!(e.precision, c.precision);
-            prop_assert_eq!(
-                e.predicted_losses.len(), c.predicted_losses.len());
-            for (a, b) in e.predicted_losses.iter().zip(&c.predicted_losses) {
+            prop_assert_eq!(e.selected, c.selected_config);
+            prop_assert_eq!(model.space().label(e.selected), c.selected_label.clone());
+            prop_assert_eq!(opts.precision, c.precision);
+            prop_assert_eq!(e.predicted.len(), c.predicted_losses.len());
+            for (a, b) in e.predicted.iter().zip(&c.predicted_losses) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "gate losses differ: {} vs {}", a, b);
             }
-            prop_assert_eq!(e.energy_joules().to_bits(), c.energy_joules().to_bits());
+            let specs = model.space().branch_specs(e.selected);
+            let (energy, _) = account_prec(
+                model.px2(),
+                model.sensor_power(),
+                &specs,
+                StemPolicy::Adaptive,
+                opts.precision,
+            );
+            prop_assert_eq!(energy.platform.joules().to_bits(), c.energy_joules().to_bits());
         }
     }
 }

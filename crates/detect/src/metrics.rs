@@ -18,6 +18,7 @@
 //! The total is normalized by the number of ground-truth objects.
 
 use crate::bbox::{BBox, Detection};
+use crate::nms::score_desc;
 use ecofusion_scene::GtBox;
 use serde::{Deserialize, Serialize};
 
@@ -64,9 +65,7 @@ pub fn fusion_loss(dets: &[Detection], gts: &[GtBox]) -> FusionLoss {
     let mut det_matched = vec![false; dets.len()];
     // Greedy matching in descending score order.
     let mut order: Vec<usize> = (0..dets.len()).collect();
-    order.sort_by(|&a, &b| {
-        dets[b].score.partial_cmp(&dets[a].score).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| score_desc(dets[a].score, dets[b].score));
     for &di in &order {
         let d = &dets[di];
         let mut best: Option<(usize, f32)> = None;

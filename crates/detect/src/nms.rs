@@ -1,6 +1,14 @@
 //! Non-maximum suppression.
 
 use crate::bbox::Detection;
+use std::cmp::Ordering;
+
+/// Descending score order with NaN ranked last. Unlike `partial_cmp`, this
+/// is a total order, so sorts never panic on NaN; finite scores keep the
+/// order they had under `partial_cmp`.
+pub fn score_desc(a: f32, b: f32) -> Ordering {
+    a.is_nan().cmp(&b.is_nan()).then_with(|| b.total_cmp(&a))
+}
 
 /// Greedy per-class NMS: keeps the highest-scoring detection and removes
 /// same-class detections with IoU above `iou_thresh`.
@@ -11,7 +19,7 @@ use crate::bbox::Detection;
 /// Panics if `iou_thresh` is outside `[0, 1]`.
 pub fn nms(mut dets: Vec<Detection>, iou_thresh: f32) -> Vec<Detection> {
     assert!((0.0..=1.0).contains(&iou_thresh), "iou_thresh must be in [0, 1]");
-    dets.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+    dets.sort_by(|a, b| score_desc(a.score, b.score));
     let mut keep: Vec<Detection> = Vec::with_capacity(dets.len());
     'outer: for d in dets {
         for k in &keep {

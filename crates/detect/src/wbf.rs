@@ -8,6 +8,7 @@
 //! contributing models agreed.
 
 use crate::bbox::{BBox, Detection};
+use crate::nms::score_desc;
 use serde::{Deserialize, Serialize};
 
 /// Parameters for [`weighted_boxes_fusion`].
@@ -76,7 +77,7 @@ pub fn weighted_boxes_fusion(
         .filter(|d| d.score >= params.skip_box_thresh)
         .copied()
         .collect();
-    all.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+    all.sort_by(|a, b| score_desc(a.score, b.score));
     for det in all {
         let mut best: Option<(usize, f32)> = None;
         for (ci, c) in clusters.iter().enumerate() {
@@ -108,7 +109,7 @@ pub fn weighted_boxes_fusion(
         })
         .filter(|d| d.score >= params.min_score)
         .collect();
-    fused.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+    fused.sort_by(|a, b| score_desc(a.score, b.score));
     fused
 }
 

@@ -138,6 +138,46 @@ proptest! {
     }
 
     #[test]
+    fn nan_scores_sort_last_without_panicking(
+        dets in prop::collection::vec(
+            (arb_detection(), 0u8..4).prop_map(|(mut d, k)| {
+                // One in four scores is NaN, of either sign.
+                match k {
+                    0 => d.score = f32::NAN,
+                    1 => d.score = -f32::NAN,
+                    _ => {}
+                }
+                d
+            }),
+            0..40,
+        ),
+        thresh in 0.1f32..0.9,
+    ) {
+        let check = |out: &[Detection]| {
+            let finite = out.iter().take_while(|d| !d.score.is_nan()).count();
+            prop_assert!(out[finite..].iter().all(|d| d.score.is_nan()), "NaN ranked before a score");
+            for w in out[..finite].windows(2) {
+                prop_assert!(w[0].score >= w[1].score, "scores not descending");
+            }
+        };
+        check(&nms(dets.clone(), thresh));
+        let (a, b) = dets.split_at(dets.len() / 2);
+        check(&weighted_boxes_fusion(&[a.to_vec(), b.to_vec()], &WbfParams::default(), 2));
+        let gts: Vec<GtBox> = dets
+            .iter()
+            .take(3)
+            .map(|d| GtBox {
+                class_id: d.class_id,
+                x1: d.bbox.x1,
+                y1: d.bbox.y1,
+                x2: d.bbox.x2,
+                y2: d.bbox.y2,
+            })
+            .collect();
+        let _ = fusion_loss(&dets, &gts);
+    }
+
+    #[test]
     fn nms_equal_scores_keep_input_order(
         boxes in prop::collection::vec(arb_bbox(), 0..25),
         thresh in 0.1f32..0.9,

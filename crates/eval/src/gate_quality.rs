@@ -47,7 +47,8 @@ pub fn spearman(a: &[f32], b: &[f32]) -> f64 {
 fn ranks(v: &[f32]) -> Vec<f64> {
     let n = v.len();
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&i, &j| v[i].partial_cmp(&v[j]).unwrap_or(std::cmp::Ordering::Equal));
+    // Ascending, NaN last: a total order, so a NaN loss cannot panic the sort.
+    idx.sort_by(|&i, &j| v[i].is_nan().cmp(&v[j].is_nan()).then_with(|| v[i].total_cmp(&v[j])));
     let mut out = vec![0.0; n];
     let mut i = 0;
     while i < n {

@@ -1,6 +1,7 @@
 //! PASCAL-VOC mean average precision (the paper's §5 metric: mAP for
 //! IoU ≥ 0.5 following Everingham et al.).
 
+use ecofusion_detect::nms::score_desc;
 use ecofusion_detect::{BBox, Detection};
 use ecofusion_scene::GtBox;
 
@@ -30,9 +31,7 @@ pub fn average_precision(
     }
     // Sort detections by descending confidence.
     let mut order: Vec<usize> = (0..dets.len()).collect();
-    order.sort_by(|&a, &b| {
-        dets[b].1.score.partial_cmp(&dets[a].1.score).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| score_desc(dets[a].1.score, dets[b].1.score));
     // Track which GT boxes are already matched.
     let mut matched: Vec<Vec<bool>> =
         gt_frames.iter().map(|f| vec![false; f.boxes.len()]).collect();

@@ -376,8 +376,6 @@ mod tests {
                 determinism_digest: "00000000000000aa".to_string(),
                 fleet: Vec::new(),
             }],
-            int8_speedup: None,
-            compiled_speedup: None,
         }
     }
 

@@ -70,8 +70,7 @@ pub mod suites;
 
 pub use compare::{compare, Tolerances, Violation};
 pub use report::{
-    BenchReport, BuildMeta, CompiledSpeedup, FleetPoint, Int8Speedup, LatencyStats, ShardPoint,
-    SuiteReport, SCHEMA_VERSION,
+    BenchReport, BuildMeta, FleetPoint, LatencyStats, ShardPoint, SuiteReport, SCHEMA_VERSION,
 };
 pub use run::{
     run_report, run_report_traced, run_suite, run_suite_traced, ModelProvider,

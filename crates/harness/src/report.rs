@@ -184,31 +184,6 @@ pub struct BuildMeta {
     pub shards: usize,
 }
 
-/// Measured int8-vs-f32 kernel speedups, recorded by the parity harness.
-/// Wall-clock ratios on the build host — informational, never gated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct Int8Speedup {
-    /// f32 stem forward time / int8 stem forward time.
-    pub stem: f64,
-    /// f32 branch (backbone + head) time / int8 branch time.
-    pub branch: f64,
-}
-
-/// Measured eager-vs-compiled stage speedups of the fused-operator
-/// execution layer, recorded by `bench_report`'s default mode.
-/// Wall-clock ratios on the build host — informational, never gated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct CompiledSpeedup {
-    /// Eager f32 stem time / compiled f32 stem time (batch 8).
-    pub stem_f32: f64,
-    /// Eager f32 branch time / compiled f32 branch time (batch 8).
-    pub branch_f32: f64,
-    /// Eager int8 stem time / compiled int8 stem time (batch 8).
-    pub stem_int8: f64,
-    /// Eager int8 branch time / compiled int8 branch time (batch 8).
-    pub branch_int8: f64,
-}
-
 /// A full harness run: metadata plus one report per suite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
@@ -218,14 +193,6 @@ pub struct BenchReport {
     pub build: BuildMeta,
     /// Per-suite reports, in [`SuiteId::ALL`](crate::SuiteId::ALL) order.
     pub suites: Vec<SuiteReport>,
-    /// Int8 kernel speedups when the parity harness measured them
-    /// (`None` in ordinary gate runs and older reports; not gated).
-    #[serde(default)]
-    pub int8_speedup: Option<Int8Speedup>,
-    /// Eager-vs-compiled stage speedups when `bench_report` measured
-    /// them (`None` in older reports and gate-only runs; not gated).
-    #[serde(default)]
-    pub compiled_speedup: Option<CompiledSpeedup>,
 }
 
 impl BenchReport {
@@ -366,8 +333,6 @@ mod tests {
                 }];
                 fleet
             }],
-            int8_speedup: None,
-            compiled_speedup: None,
         }
     }
 

@@ -119,8 +119,6 @@ pub fn run_report_traced(
     }
     let report = BenchReport {
         schema: SCHEMA_VERSION,
-        int8_speedup: None,
-        compiled_speedup: None,
         build: BuildMeta {
             backend: match backend::backend_kind() {
                 BackendKind::Reference => "reference".to_string(),

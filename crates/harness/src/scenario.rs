@@ -17,8 +17,8 @@
 //! [`MODEL_SEED`] quick-scale model and the base inference options are
 //! the paper defaults, with *no* environment overrides — a distilled
 //! suite must mean the same thing on every machine that replays it. The
-//! `ECOFUSION_COMPILED` / `ECOFUSION_SHARDS` hooks remain legitimate
-//! because both are proven output-invariant.
+//! `ECOFUSION_SHARDS` hook remains legitimate because it is proven
+//! output-invariant.
 
 use crate::digest::{absorb_stream, format_digest, Fnv1a};
 use crate::suites::{MODEL_SEED, SUITE_CLASSES, SUITE_GRID};

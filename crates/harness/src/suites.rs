@@ -244,6 +244,34 @@ pub fn apply_env_precision(mut opts: InferenceOptions) -> InferenceOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecofusion_core::EcoFusionModel;
+    use ecofusion_tensor::graph;
+    use ecofusion_tensor::rng::Rng;
+
+    /// The invariant behind the serving pipeline's plan `expect`s: every
+    /// stem and branch of the serving model lowers to a compiled plan, at
+    /// f32 and at int8, for every batch size the runtime can form.
+    #[test]
+    fn serving_model_lowers_at_every_batch_size() {
+        let mut model = EcoFusionModel::new(SUITE_GRID, SUITE_CLASSES, &mut Rng::new(MODEL_SEED));
+        let quant = model.ensure_quant().expect("int8 image builds").clone();
+        let arities: Vec<usize> = model.space().branches().iter().map(|b| b.arity()).collect();
+        for n in 1..=32 {
+            let grid_shape = [n, 1, SUITE_GRID, SUITE_GRID];
+            let mut feat_shape = Vec::new();
+            for (s, stem) in model.stems_mut().iter().enumerate() {
+                let plan = stem.compile(&grid_shape).expect("f32 stem lowers");
+                graph::compile_quant_pipe(quant.stem(s), &grid_shape).expect("int8 stem lowers");
+                feat_shape = plan.out_shape().to_vec();
+            }
+            for (b, branch) in model.branches().iter().enumerate() {
+                let mut shape = feat_shape.clone();
+                shape[1] *= arities[b];
+                branch.compile(&shape).expect("f32 branch lowers");
+                quant.branch(b).compile(&shape).expect("int8 branch lowers");
+            }
+        }
+    }
 
     #[test]
     fn labels_roundtrip() {

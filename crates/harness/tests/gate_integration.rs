@@ -49,8 +49,6 @@ fn steady_city_quick_rerun_is_report_identical() {
             shards: 1,
         },
         suites: vec![suite],
-        int8_speedup: None,
-        compiled_speedup: None,
     };
     let (base, fresh) = (wrap(a), wrap(b));
     let violations = compare(&base, &fresh, &Tolerances::default());
@@ -78,8 +76,6 @@ fn hand_edited_baseline_map_fails_the_gate() {
             shards: 1,
         },
         suites: vec![suite],
-        int8_speedup: None,
-        compiled_speedup: None,
     };
     // Simulate a baseline whose mAP was edited upward by hand: the
     // honest fresh run must fail the accuracy gate with exactly that

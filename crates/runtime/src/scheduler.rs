@@ -932,7 +932,6 @@ impl PerceptionServer {
                         "gate_fallback",
                         vec![("tick", ArgValue::U64(tick))],
                     );
-                    tr.bump("ecofusion_gate_fallbacks_total", row.output.gate_fallbacks as f64);
                 }
             }
             let level_before = lane.controller.level();

@@ -404,3 +404,45 @@ fn multi_frame_pop_counts_against_executed_mask() {
     // The options in force reflect the same mask telemetry counted.
     assert_eq!(server.stream_options(0).health, s.final_mask);
 }
+
+/// Knowledge-gate fallbacks are counted once per frame everywhere: the
+/// Prometheus counter, the report total and the per-stream telemetry all
+/// agree. City's rule is removed, so every City frame falls back; the
+/// Fog stream keeps its rule and never does.
+#[test]
+fn gate_fallback_metric_matches_telemetry() {
+    use ecofusion_core::{default_degraded_fallbacks, default_knowledge_rules, InferenceOptions};
+    use ecofusion_gating::KnowledgeGate;
+    use ecofusion_scene::Context;
+    use ecofusion_trace::TraceSink;
+
+    let mut m = model(21);
+    let mut rules = default_knowledge_rules(m.space());
+    rules.remove(&Context::City);
+    let n = m.space().num_configs();
+    m.gates_mut().knowledge = KnowledgeGate::new(rules, n).with_degraded_rules(
+        default_degraded_fallbacks(m.space()),
+        m.config_sensor_bits().to_vec(),
+    );
+    let knowledge = InferenceOptions::new(0.01, 0.5).with_gate(GateKind::Knowledge);
+    let specs: Vec<StreamSpec> = [(31, Context::City), (32, Context::City), (33, Context::Fog)]
+        .into_iter()
+        .map(|(seed, context)| {
+            let mut spec = StreamSpec::new(seed, GRID).with_context(context).with_opts(knowledge);
+            spec.drift_stay_prob = 1.0;
+            spec
+        })
+        .collect();
+    let mut server = PerceptionServer::new(m, &specs, RuntimeConfig::default());
+    server.set_tracer(TraceSink::with_capacity(4096));
+    let mut streams: Vec<VehicleStream> = specs.iter().map(|s| VehicleStream::new(*s)).collect();
+    run_simulation(&mut server, &mut streams, 6).unwrap();
+
+    let report = server.report();
+    let per_stream: u64 = report.per_stream.iter().map(|s| s.gate_fallbacks).sum();
+    let metric = server.tracer().unwrap().metrics()["ecofusion_gate_fallbacks_total"];
+    assert!(report.total_gate_fallbacks > 0, "City frames must fall back");
+    assert_eq!(report.per_stream[2].gate_fallbacks, 0, "Fog keeps its rule");
+    assert_eq!(report.total_gate_fallbacks, per_stream);
+    assert_eq!(metric, report.total_gate_fallbacks as f64, "counter double-counts fallbacks");
+}

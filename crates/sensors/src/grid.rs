@@ -122,8 +122,10 @@ pub fn occlusion_factors(scene: &Scene, occluded_gain: f32) -> Vec<f32> {
     let mut factors = vec![1.0f32; n];
     // Index objects sorted by increasing range (y).
     let mut order: Vec<usize> = (0..n).collect();
+    // Ascending, NaN last: a total order, so a NaN range cannot panic the sort.
     order.sort_by(|&a, &b| {
-        scene.objects[a].y.partial_cmp(&scene.objects[b].y).unwrap_or(std::cmp::Ordering::Equal)
+        let (ya, yb) = (scene.objects[a].y, scene.objects[b].y);
+        ya.is_nan().cmp(&yb.is_nan()).then_with(|| ya.total_cmp(&yb))
     });
     for (rank, &i) in order.iter().enumerate() {
         let oi = &scene.objects[i];

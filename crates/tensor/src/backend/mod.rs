@@ -5,8 +5,7 @@
 //! correctness oracle, while [`Blocked`] provides register-tiled,
 //! cache-aware kernels with scoped-thread data parallelism over output
 //! rows and the batch dimension. Layers call [`active`], so swapping the
-//! whole model's compute substrate is one call to [`set_backend`] (or the
-//! `ECOFUSION_BACKEND` environment variable — `reference` or `blocked`).
+//! whole model's compute substrate is one call to [`set_backend`].
 //!
 //! # Numerical contract
 //!
@@ -27,7 +26,6 @@ pub use reference::Reference;
 
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Selects one of the built-in backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,31 +196,17 @@ pub fn get(kind: BackendKind) -> &'static dyn Backend {
     }
 }
 
-const KIND_UNSET: u8 = 0;
 const KIND_REFERENCE: u8 = 1;
 const KIND_BLOCKED: u8 = 2;
 
-static OVERRIDE: AtomicU8 = AtomicU8::new(KIND_UNSET);
-static ENV_DEFAULT: OnceLock<BackendKind> = OnceLock::new();
-
-fn env_default() -> BackendKind {
-    *ENV_DEFAULT.get_or_init(|| match std::env::var("ECOFUSION_BACKEND").as_deref() {
-        Ok("reference") | Ok("ref") => BackendKind::Reference,
-        Ok("blocked") | Err(_) => BackendKind::Blocked,
-        Ok(other) => {
-            eprintln!("warning: unknown ECOFUSION_BACKEND `{other}`, using blocked");
-            BackendKind::Blocked
-        }
-    })
-}
+static KIND: AtomicU8 = AtomicU8::new(KIND_BLOCKED);
 
 /// The globally selected backend kind: [`set_backend`] if called,
-/// otherwise `ECOFUSION_BACKEND`, otherwise [`BackendKind::Blocked`].
+/// otherwise [`BackendKind::Blocked`].
 pub fn backend_kind() -> BackendKind {
-    match OVERRIDE.load(Ordering::Relaxed) {
+    match KIND.load(Ordering::Relaxed) {
         KIND_REFERENCE => BackendKind::Reference,
-        KIND_BLOCKED => BackendKind::Blocked,
-        _ => env_default(),
+        _ => BackendKind::Blocked,
     }
 }
 
@@ -233,7 +217,7 @@ pub fn set_backend(kind: BackendKind) {
         BackendKind::Reference => KIND_REFERENCE,
         BackendKind::Blocked => KIND_BLOCKED,
     };
-    OVERRIDE.store(v, Ordering::Relaxed);
+    KIND.store(v, Ordering::Relaxed);
 }
 
 /// The active backend instance.

@@ -31,8 +31,10 @@
 //!   eager per-element order `v = acc·(s_x·s_w[c]) + bias[c]`, then
 //!   `v·scale[c] + shift[c]`, then `v.max(0.0)`.
 //!
-//! The golden traces and the perf-gate baselines therefore hold
-//! unchanged whether `ECOFUSION_COMPILED` is `0` or `1`.
+//! Compiled plans are the only executor behind the staged pipeline; the
+//! eager forwards serve training and act as the reference that the
+//! bit-identity tests (`crates/core/tests/prop_compiled.rs`) compare
+//! against, so the golden traces and perf-gate baselines pin both.
 //!
 //! # Memory
 //!
@@ -49,47 +51,17 @@ use crate::layer::{BatchNorm2d, Conv2d, Linear, Sequential};
 use crate::quant::{conv_rows_t_i8, quantize_activations, QuantConv2d, QuantPipe, QuantStage};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
-// Compiled-execution gate
+// Compiled execution
 // ---------------------------------------------------------------------------
 
-const COMPILED_UNSET: u8 = 0;
-const COMPILED_OFF: u8 = 1;
-const COMPILED_ON: u8 = 2;
-
-static OVERRIDE: AtomicU8 = AtomicU8::new(COMPILED_UNSET);
-static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
-
-fn env_default() -> bool {
-    *ENV_DEFAULT.get_or_init(|| {
-        !matches!(std::env::var("ECOFUSION_COMPILED").as_deref(), Ok("0") | Ok("off") | Ok("false"))
-    })
-}
-
-/// Whether the staged pipeline routes stems/branches through compiled
-/// plans: [`set_compiled`] if called, otherwise `ECOFUSION_COMPILED`
-/// (default **on**; `0`/`off`/`false` disable for A/B comparison).
+/// Whether the staged pipeline serves stems and branches through compiled
+/// plans. Always `true`: compiled plans are the only serving executor,
+/// and the eager forwards remain as training code and as the test-side
+/// reference. Kept as a function because benchmark provenance records it.
 pub fn compiled_enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        COMPILED_OFF => false,
-        COMPILED_ON => true,
-        _ => env_default(),
-    }
-}
-
-/// Overrides the compiled-execution gate process-wide. `None` restores
-/// the `ECOFUSION_COMPILED` environment default. Used by A/B benches and
-/// the compiled-vs-eager property suite.
-pub fn set_compiled(on: Option<bool>) {
-    let v = match on {
-        None => COMPILED_UNSET,
-        Some(false) => COMPILED_OFF,
-        Some(true) => COMPILED_ON,
-    };
-    OVERRIDE.store(v, Ordering::Relaxed);
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -516,8 +488,7 @@ impl PlanBuilder {
     ///
     /// # Errors
     /// [`CompileError::Unsupported`] on any other layer kind (including
-    /// a ReLU that does not follow a conv/linear) — callers fall back to
-    /// eager execution.
+    /// a ReLU that does not follow a conv/linear).
     pub fn push_sequential(&mut self, seq: &Sequential) -> Result<(), CompileError> {
         let layers = seq.layers();
         let mut i = 0;
@@ -761,8 +732,7 @@ impl PlanBuilder {
 /// [`PlanBuilder::push_sequential`] + [`PlanBuilder::finish`].
 ///
 /// # Errors
-/// Propagates the builder's [`CompileError`]; callers fall back to eager
-/// execution.
+/// Propagates the builder's [`CompileError`].
 pub fn compile_sequential(
     seq: &Sequential,
     in_shape: &[usize],
@@ -965,29 +935,14 @@ impl PlanCache {
         key: PlanKey,
         build: impl FnOnce() -> CompiledPlan,
     ) -> &mut CompiledPlan {
-        self.try_get_or_compile(key, || Ok(build())).expect("infallible build")
-    }
-
-    /// Fallible variant of [`PlanCache::get_or_compile`]: a failed build
-    /// counts as a miss (not a compile) and inserts nothing, so the
-    /// caller's eager fallback re-attempts (and re-fails fast) next time.
-    ///
-    /// # Errors
-    /// Propagates the builder's [`CompileError`].
-    pub fn try_get_or_compile(
-        &mut self,
-        key: PlanKey,
-        build: impl FnOnce() -> Result<CompiledPlan, CompileError>,
-    ) -> Result<&mut CompiledPlan, CompileError> {
         if self.map.contains_key(&key) {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
-            let plan = build()?;
             self.stats.compiles += 1;
-            self.map.insert(key.clone(), plan);
+            self.map.insert(key.clone(), build());
         }
-        Ok(self.map.get_mut(&key).expect("plan just ensured"))
+        self.map.get_mut(&key).expect("plan just ensured")
     }
 }
 
@@ -1006,10 +961,6 @@ mod tests {
     use crate::layer::{Flatten, Layer, MaxPool2d, ReLU};
     use crate::quant::quantize_sequential;
     use crate::rng::Rng;
-    use std::sync::Mutex;
-
-    /// Serializes tests that flip the process-wide compiled gate.
-    static GATE: Mutex<()> = Mutex::new(());
 
     fn conv_bn_relu_pool(rng: &mut Rng) -> Sequential {
         let mut seq = Sequential::new(vec![
@@ -1045,7 +996,6 @@ mod tests {
 
     #[test]
     fn compiled_matches_eager_on_both_backends() {
-        let _guard = GATE.lock().unwrap();
         let mut rng = Rng::new(43);
         let mut seq = conv_bn_relu_pool(&mut rng);
         let x = Tensor::randn(&[2, 2, 9, 9], 1.0, &mut rng);
@@ -1190,18 +1140,6 @@ mod tests {
         assert_ne!(fingerprint_sequential(&a, 0), fingerprint_sequential(&b, 0));
         assert_ne!(fingerprint_sequential(&a, 0), fingerprint_sequential(&a, 1));
         assert_eq!(fingerprint_sequential(&a, 3), fingerprint_sequential(&a, 3));
-    }
-
-    #[test]
-    fn compiled_gate_override_roundtrip() {
-        let _guard = GATE.lock().unwrap();
-        let env = env_default();
-        set_compiled(Some(false));
-        assert!(!compiled_enabled());
-        set_compiled(Some(true));
-        assert!(compiled_enabled());
-        set_compiled(None);
-        assert_eq!(compiled_enabled(), env);
     }
 
     #[test]

@@ -47,8 +47,7 @@
 //! assert_eq!(backend::active().name(), "blocked");
 //! ```
 //!
-//! The environment variable `ECOFUSION_BACKEND=reference|blocked` sets the
-//! default without code changes. Backends agree within `1e-4` (enforced by
+//! Blocked is the default. Backends agree within `1e-4` (enforced by
 //! property tests); the blocked backend is ≥3× faster on GEMM-bound shapes
 //! and >10× on branch convolutions — `cargo bench -p ecofusion-bench
 //! --bench tensor_ops -- backend` measures it on your machine.
